@@ -22,8 +22,9 @@ import (
 
 // benchOpts runs the experiment benchmarks at reduced scale so the whole
 // suite fits a default `go test -bench=.` run; full-scale regeneration is
-// cmd/ebsbench's job. Set LUNASOLAR_FULL_BENCH=1 (with a generous -timeout)
-// to benchmark the full-scale experiments instead.
+// cmd/ebsbench's job, and the repo benchmark is perfbench. Set
+// LUNASOLAR_FULL_BENCH=1 (with a generous -timeout) to benchmark the
+// full-scale experiments instead.
 func benchOpts(b *testing.B) experiments.Options {
 	full := os.Getenv("LUNASOLAR_FULL_BENCH") != ""
 	return experiments.Options{Seed: 1, Quick: !full}
@@ -74,7 +75,7 @@ func BenchmarkRDMACliff(b *testing.B)         { runExperiment(b, "rdmacliff", ex
 
 // BenchmarkDiurnalPacket/Hybrid run the same campaign at both fidelities;
 // the events/sec and sim-µs/wall-ms ratio between them is the fast-forward
-// payoff BENCH_pr8.json records.
+// payoff TestHybridDifferential gates at full scale.
 func BenchmarkDiurnalPacket(b *testing.B) { runExperiment(b, "diurnal", experiments.Diurnal) }
 func BenchmarkDiurnalHybrid(b *testing.B) {
 	runExperiment(b, "diurnal", func(opts experiments.Options) *experiments.Table {
@@ -179,8 +180,8 @@ func BenchmarkWritePath4KCopyPath(b *testing.B) { benchWritePath4K(b, false) }
 // benchCoupled runs the partitioned write storm with the given number of
 // window workers and reports the fleet's events/sec. Comparing the
 // sub-benchmarks shows the coupled runner's scaling (or, on few-core
-// hosts, its barrier overhead); BENCH_pr6.json records the same sweep
-// with the byte-identity gate attached.
+// hosts, its barrier overhead); TestDifferentialMatrix holds the same
+// worker counts byte-identical.
 func benchCoupled(b *testing.B, workers int) {
 	opts := benchOpts(b)
 	opts.CoupledWorkers = workers

@@ -24,7 +24,6 @@ import (
 	"lunasolar/ebs"
 	"lunasolar/internal/cc"
 	"lunasolar/internal/experiments"
-	"lunasolar/internal/sim"
 	"lunasolar/internal/sim/runtime"
 	"lunasolar/internal/simnet"
 	"lunasolar/internal/stats"
@@ -70,27 +69,14 @@ func main() {
 	workers := flag.Int("workers", 0, "simulation worker pool size (0 = GOMAXPROCS, 1 = serial)")
 	coupledWorkers := flag.Int("coupled-workers", 0, "worker count driving a coupled experiment's fabric partitions (0 = GOMAXPROCS, 1 = serial windows; output is identical for every value)")
 	jsonOut := flag.Bool("json", false, "emit one JSON metric row per line instead of tables")
-	noWheel := flag.Bool("no-wheel", false, "force coarse timers onto the plain heap (differential debugging; output must be identical)")
-	copyPath := flag.Bool("copy-path", false, "force the deep-copying data path instead of refcounted slabs (differential debugging; output must be identical)")
-	benchOut := flag.String("bench-out", "", "run the 4 KiB write-path microbenchmark in both data-path modes and write the JSON report here (e.g. BENCH_pr3.json)")
-	coupledBenchOut := flag.String("coupled-bench-out", "", "run the coupled-fabric storm at 1/2/4/8 workers, check byte-identity, and write the scaling report here (e.g. BENCH_pr6.json)")
 	metricsOut := flag.String("metrics-out", "", "enable telemetry and write the merged observability registry of all experiments here (e.g. METRICS.json)")
 	metricsFormat := flag.String("metrics-format", "json", "format for -metrics-out: json or openmetrics")
 	ccFlag := flag.String("cc", "static", "congestion controller for every RDMA stack: static, dcqcn, or swift (the CC-matrix experiments sweep all three regardless)")
-	ccBenchOut := flag.String("cc-bench-out", "", "run the incast CC matrix (static/dcqcn/swift) and write the JSON report here (e.g. BENCH_pr7.json)")
-	ffBenchOut := flag.String("ff-bench-out", "", "run the diurnal campaign at packet and hybrid fidelity, enforce the differential + speedup gates, and write the JSON report here (e.g. BENCH_pr8.json)")
-	ctrlBenchOut := flag.String("ctrl-bench-out", "", "run the drain and noisy-neighbor control-plane scenarios, enforce the zero-failed-I/O and 2x-isolation gates, and write the JSON report here (e.g. BENCH_pr10.json)")
 	fidelity := flag.String("fidelity", "packet", "simulation fidelity for experiments that support it: packet (every frame) or hybrid (fluid fast-forward of quiescent bulk flows)")
 	profileDir := flag.String("profile", "", "write cpu.pprof (whole run) and heap.pprof (at exit) into this directory")
 	list := flag.Bool("list", false, "list experiments")
 	flag.Parse()
 
-	if *noWheel {
-		sim.SetCoarseTimers(false)
-	}
-	if *copyPath {
-		simnet.SetZeroCopy(false)
-	}
 	ccKind, ok := cc.ParseKind(*ccFlag)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "ebsbench: unknown -cc %q (static, dcqcn, or swift)\n", *ccFlag)
@@ -118,57 +104,6 @@ func main() {
 			os.Exit(1)
 		}
 		simnet.SetTelemetry(true)
-	}
-
-	if *benchOut != "" {
-		if err := writeBenchReport(*benchOut, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "ebsbench: bench: %v\n", err)
-			prof.Stop()
-			os.Exit(1)
-		}
-		if *exp == "" && !*list && *coupledBenchOut == "" {
-			return
-		}
-	}
-	if *coupledBenchOut != "" {
-		if err := writeCoupledBenchReport(*coupledBenchOut, *seed, *quick); err != nil {
-			fmt.Fprintf(os.Stderr, "ebsbench: coupled bench: %v\n", err)
-			prof.Stop()
-			os.Exit(1)
-		}
-		if *exp == "" && !*list && *ccBenchOut == "" {
-			return
-		}
-	}
-	if *ccBenchOut != "" {
-		if err := writeCCBenchReport(*ccBenchOut, *seed, *quick); err != nil {
-			fmt.Fprintf(os.Stderr, "ebsbench: cc bench: %v\n", err)
-			prof.Stop()
-			os.Exit(1)
-		}
-		if *exp == "" && !*list && *ffBenchOut == "" {
-			return
-		}
-	}
-	if *ffBenchOut != "" {
-		if err := writeFFBenchReport(*ffBenchOut, *seed, *quick); err != nil {
-			fmt.Fprintf(os.Stderr, "ebsbench: ff bench: %v\n", err)
-			prof.Stop()
-			os.Exit(1)
-		}
-		if *exp == "" && !*list && *ctrlBenchOut == "" {
-			return
-		}
-	}
-	if *ctrlBenchOut != "" {
-		if err := writeCtrlBenchReport(*ctrlBenchOut, *seed, *quick); err != nil {
-			fmt.Fprintf(os.Stderr, "ebsbench: ctrl bench: %v\n", err)
-			prof.Stop()
-			os.Exit(1)
-		}
-		if *exp == "" && !*list {
-			return
-		}
 	}
 
 	ids := make([]string, 0, len(registry))

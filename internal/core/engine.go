@@ -85,7 +85,7 @@ func (s *Stack) callWrite(dst uint32, req *transport.Message, done func(*transpo
 		// One-touch CRC metadata from SA ingress: valid only when it covers
 		// exactly the bytes we transmit (no SEC re-encryption here). The
 		// values feed both the trusted aggregate and the engine's cached
-		// input, in both data-path modes, so -copy-path stays byte-identical.
+		// input, in both data-path modes, so copy-path stays byte-identical.
 		carried := req.BlockCRCs
 		if len(carried) != n || s.params.Encrypted {
 			carried = nil
@@ -369,7 +369,7 @@ func (s *Stack) transmitOn(pe *peer, p *path, e *outPkt) {
 // buildWire encodes e into a pooled frame addressed down the given path.
 // With a payload slab (zero-copy mode) the frame carries headers only and
 // the block rides as a refcounted fragment — the NIC's gather DMA; each
-// (re)transmission attaches its own reference. On the -copy-path hatch the
+// (re)transmission attaches its own reference. On the copy-path hatch the
 // payload is copied into a flat frame as the seed code did. WireSize is
 // identical either way.
 //

@@ -65,7 +65,7 @@ type outPkt struct {
 
 	// slab owns the payload bytes in zero-copy mode: every (re)transmitted
 	// frame attaches it as a fragment, and the reference is released when
-	// the packet is recycled. Nil on the -copy-path hatch, where payload is
+	// the packet is recycled. Nil on the copy-path hatch, where payload is
 	// a pooled deep copy tracked by payloadPooled instead.
 	slab *simnet.Slab
 

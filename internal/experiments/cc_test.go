@@ -3,64 +3,7 @@ package experiments
 import (
 	"fmt"
 	"testing"
-
-	"lunasolar/ebs"
-	"lunasolar/internal/cc"
 )
-
-// TestCCDefaultHatchIdentity is the -cc hatch's in-process gate, the Go
-// counterpart of `make cc-diff`: naming the default controller explicitly
-// must be byte-identical to leaving the hatch untouched, which pins the
-// hatch default to the static RC baseline. It drives the cliff experiment
-// — the raw-stack path that honors the process-wide default — so a drifted
-// default or broken SetDefaultCC plumbing shows up as output divergence.
-//
-// The test flips the process-wide controller default, so it does not run
-// in parallel with anything else.
-//
-//lint:gate cc
-func TestCCDefaultHatchIdentity(t *testing.T) {
-	if testing.Short() {
-		t.Skip("cluster experiment")
-	}
-	prev := ebs.DefaultCC()
-	defer ebs.SetDefaultCC(prev)
-	untouched := RDMACliff(Options{Seed: 7, Quick: true, Workers: 1}).Format()
-	ebs.SetDefaultCC(cc.KindStatic)
-	explicit := RDMACliff(Options{Seed: 7, Quick: true, Workers: 1}).Format()
-	if untouched != explicit {
-		t.Fatalf("explicit -cc static diverged from the untouched default\n--- default ---\n%s\n--- static ---\n%s", untouched, explicit)
-	}
-}
-
-// TestCCMatrixDeterminism gates the CC-matrix experiments the same way
-// TestParallelRunDeterminism gates the figures: identical formatted output
-// at any worker count. Each (scenario, controller) cell is a share-nothing
-// shard, so the pacing timers and CNP exchanges inside one cell must never
-// observe scheduling outside it.
-func TestCCMatrixDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("cluster experiment")
-	}
-	for _, tc := range []struct {
-		name string
-		fn   func(Options) *Table
-	}{
-		{"incast", Incast},
-		{"spine-oversub", SpineOversub},
-		{"elephantmice", ElephantMice},
-	} {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			t.Parallel()
-			serial := tc.fn(Options{Seed: 7, Quick: true, Workers: 1}).Format()
-			parallel := tc.fn(Options{Seed: 7, Quick: true, Workers: 4}).Format()
-			if serial != parallel {
-				t.Fatalf("serial and parallel runs diverged at the same seed\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)
-			}
-		})
-	}
-}
 
 // TestCCMatrixDistinguishable asserts the controllers actually differ:
 // under the identical incast workload and seed, static, DCQCN, and Swift

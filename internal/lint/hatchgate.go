@@ -7,7 +7,7 @@ import (
 )
 
 // HatchGate enforces the hatch↔gate pairing rule: every differential
-// escape hatch (-no-wheel, -copy-path, telemetry, -cc, -fidelity, any
+// escape hatch (no-wheel, copy-path, telemetry, -cc, -fidelity, any
 // future ebs.Config hatch field) must ship with a registered differential
 // gate — the byte-identity test that proves the fast path and the hatch
 // path agree. A hatch without a gate is an untested divergence waiting to

@@ -19,7 +19,7 @@ const pktHdrSize = wire.TCPSegSize + wire.RPCSize + wire.EBSSize
 // outPkt is one unacknowledged data packet, kept scattered: the RPC+EBS
 // header image lives in a small pooled prefix encoded once at queue time,
 // the chunk is referenced through a slab (shared with the message payload
-// in zero-copy mode, a pooled deep copy behind -copy-path). Every
+// in zero-copy mode, a pooled deep copy behind the copy-path hatch). Every
 // (re)transmission builds its own frame — BTH + header copy + fragment —
 // so nothing the pool reclaims is ever shared with an in-flight frame.
 type outPkt struct {
@@ -95,8 +95,8 @@ func seqLT(a, b uint32) bool { return int32(a-b) < 0 }
 // sendMessage segments one RPC message into MTU packets and queues them.
 // Each packet's RPC+EBS header image is encoded once into a pooled prefix;
 // the chunk is attached by reference (zero-copy) or as one pooled copy
-// (-copy-path). When the caller supplied per-block one-touch CRCs and the
-// chunking aligns with them — MTU == BlockSize for data, or a single
+// (the copy-path hatch). When the caller supplied per-block one-touch CRCs
+// and the chunking aligns with them — MTU == BlockSize for data, or a single
 // header-only packet carrying a fold — each packet's EBS header carries
 // its block's CRC, flagged with EBSFlagHasCRC.
 func (q *qp) sendMessage(id uint64, op uint8, req *transport.Message, resp *transport.Response) {

@@ -654,7 +654,7 @@ func (a *Agent) issue(span *trace.Span, vdisk uint32, gen uint32, op uint8,
 			// already charged in saBusy (or rides the FPGA pipeline), so
 			// this changes who reads the bytes, not what the simulation
 			// charges. Carriage is deliberately mode-independent — the
-			// -copy-path hatch changes where bytes live, never what
+			// copy-path hatch changes where bytes live, never what
 			// metadata travels — so both modes stay byte-identical.
 			// Attached only for the offloaded (Solar) stacks, whose wire
 			// format carries a per-block CRC; skipped when the DPU's SEC

@@ -3,7 +3,6 @@ package sim
 import (
 	"math"
 	"math/bits"
-	"os"
 	"sync/atomic"
 	"time"
 )
@@ -39,22 +38,19 @@ const (
 
 // coarseEnabled is the package-wide default for new engines: whether
 // ScheduleCoarse uses the wheel (true) or degrades to the heap (false).
-// It exists for the differential regression tests and for bisecting: the
-// two modes must produce bit-identical experiment output. Engines capture
+// It exists for the differential matrix and for bisecting: the two modes
+// must produce bit-identical experiment output. Engines capture
 // the flag at construction, so flipping it mid-run affects only engines
 // created afterwards.
 //
 //lint:hatch no-wheel
 var coarseEnabled atomic.Bool
 
-func init() {
-	coarseEnabled.Store(os.Getenv("LUNASOLAR_NO_WHEEL") == "")
-}
+func init() { coarseEnabled.Store(true) }
 
 // SetCoarseTimers selects the scheduling class backing ScheduleCoarse for
 // engines created after the call: the timing wheel (true, default) or the
-// plain heap (false). The LUNASOLAR_NO_WHEEL environment variable, if set,
-// flips the initial default to false.
+// plain heap (false).
 func SetCoarseTimers(on bool) { coarseEnabled.Store(on) }
 
 // CoarseTimers reports the current package-wide default.

@@ -1,25 +1,19 @@
 package simnet
 
-import (
-	"os"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // zeroCopyEnabled selects where payload bytes live on the data path. On
 // (the default), stacks share one reference-counted slab per payload:
 // retransmits, multi-path re-injection and the blockserver's replica
-// fan-out all point at the same buffer. Off (the -copy-path escape hatch,
-// or LUNASOLAR_COPY_PATH in the environment), every hop deep-copies as the
-// seed code did. The switch changes only where bytes live — packet sizes,
-// event counts and all experiment output are byte-identical either way,
-// which the copy-path differential test enforces.
+// fan-out all point at the same buffer. Off (the copy-path escape hatch),
+// every hop deep-copies as the seed code did. The switch changes only
+// where bytes live — packet sizes, event counts and all experiment output
+// are byte-identical either way, which TestDifferentialMatrix enforces.
 //
 //lint:hatch copy-path
 var zeroCopyEnabled atomic.Bool
 
-func init() {
-	zeroCopyEnabled.Store(os.Getenv("LUNASOLAR_COPY_PATH") == "")
-}
+func init() { zeroCopyEnabled.Store(true) }
 
 // SetZeroCopy flips the package-wide data-path default. Like
 // sim.SetCoarseTimers it is a process-wide experiment switch, not a

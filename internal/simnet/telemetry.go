@@ -1,7 +1,6 @@
 package simnet
 
 import (
-	"os"
 	"sort"
 	"sync/atomic"
 
@@ -12,17 +11,13 @@ import (
 // ECN-mark counts and queue high-water marks, folded into the metrics
 // registry at export time. Off (the default) the forwarding path skips the
 // counter updates entirely, so disabled-mode output is bit-identical to a
-// build without the feature — the telemetry differential test enforces this
-// the same way the wheel and copy-path hatches are enforced. On, the
+// build without the feature — TestDifferentialMatrix enforces this the
+// same way it enforces the wheel and copy-path hatches. On, the
 // updates are plain field increments: zero allocations on the
 // //lint:hotpath functions (AllocsPerRun-gated).
 //
 //lint:hatch telemetry
 var telemetryEnabled atomic.Bool
-
-func init() {
-	telemetryEnabled.Store(os.Getenv("LUNASOLAR_TELEMETRY") != "")
-}
 
 // SetTelemetry flips the package-wide telemetry switch. Like SetZeroCopy it
 // is a process-wide experiment switch, not a per-cluster knob: flip it

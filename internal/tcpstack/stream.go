@@ -5,7 +5,7 @@ import "lunasolar/internal/simnet"
 // span is one framed record on the send stream, kept scattered until frame
 // build: the record header lives in a small pooled prefix, the payload is
 // attached by reference (a shared slab in zero-copy mode, a pooled deep
-// copy behind the -copy-path escape hatch). The old path flattened both
+// copy behind the copy-path escape hatch). The old path flattened both
 // into one heap-allocated []byte per record and then copied again into
 // every segment; spans are copied at most once, by the frame gather.
 type span struct {

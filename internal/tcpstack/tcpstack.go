@@ -302,9 +302,9 @@ const recordHdrSize = wire.RecordHeaderSize
 // makeRecordSpan frames one RPC as a stream span: the record header
 // encoded into a pooled prefix, the payload attached by reference. In
 // zero-copy mode the payload shares the message's slab (retaining it) or
-// wraps the caller's buffer without copying; behind -copy-path it is
-// deep-copied into a pooled buffer, reproducing the seed's behaviour minus
-// the per-record heap allocation.
+// wraps the caller's buffer without copying; behind the copy-path hatch it
+// is deep-copied into a pooled buffer, reproducing the seed's behaviour
+// minus the per-record heap allocation.
 func (s *Stack) makeRecordSpan(id uint64, op uint8, req *transport.Message, resp *transport.Response) span {
 	var payload []byte
 	ebs := wire.EBS{Version: wire.EBSVersion}
