@@ -62,11 +62,16 @@ race:
 	$(GO) test -race ./...
 
 # One quick experiment benchmark, the raw event-loop benchmark, the
-# 4 KiB write-path pair (zero-copy vs copy-path), and the CDF lookup
-# benchmark guarding the sort.Search fix: enough to verify the events/sec,
-# sim-µs/wall-ms, copies/op and allocs/op metrics still report.
+# 4 KiB write-path pair (zero-copy vs copy-path), the cluster 4 KiB writes
+# over the RDMA back network (RDMA and Solar front ends; 2000 I/Os each so
+# allocs/op is the steady state), the CDF lookup benchmark guarding the
+# sort.Search fix, and the hardware CRC-32C rate (10000 blocks, past the
+# lazy table set-up): enough to verify the events/sec, sim-µs/wall-ms,
+# copies/op and allocs/op metrics still report.
 bench-smoke:
 	$(GO) test -run xxx -bench 'Fig6|SimulatorEventRate|WritePath4K' -benchtime 1x -benchmem .
+	$(GO) test -run xxx -bench 'RDMAWrite4K|SolarWrite4K' -benchtime 2000x -benchmem .
 	$(GO) test -run xxx -bench 'CDFAt' -benchtime 1x -benchmem ./internal/stats
+	$(GO) test -run xxx -bench 'Checksum4K' -benchtime 10000x -benchmem ./internal/crc
 
 check: build vet lint staticcheck govulncheck test race bench-smoke

@@ -63,6 +63,7 @@ type StorageServer struct {
 	Block *blockserver.Server // nil on chunk nodes
 	Chunk *chunkserver.Server // nil on block nodes
 	FN    transport.Stack     // the host's frontend-facing stack (diagnostics)
+	BN    transport.Stack     // the host's backend-network stack (may be FN itself)
 }
 
 // New builds and wires a cluster. It panics on impossible configurations
@@ -151,7 +152,7 @@ func New(cfg Config) *Cluster {
 		cs := chunkserver.New(heng, fmt.Sprintf("chunk%d", i), cfg.SSD)
 		bn := c.newStack(c.bnKind(), host, cores, nil)
 		chunkserver.NewService(heng, cs, bn)
-		c.chunks = append(c.chunks, &StorageServer{Host: host, Cores: cores, Chunk: cs})
+		c.chunks = append(c.chunks, &StorageServer{Host: host, Cores: cores, Chunk: cs, BN: bn})
 		chunkAddrs = append(chunkAddrs, host.Addr())
 	}
 
@@ -159,26 +160,25 @@ func New(cfg Config) *Cluster {
 		host := storageHost(i)
 		heng := host.Engine()
 		cores := sim.NewServer(heng, fmt.Sprintf("block%d-cpu", i), cfg.StorageCores)
-		var fnStack transport.Stack
-		var bnClient transport.Client
+		var fnStack, bnStack transport.Stack
 		if c.bnKind() == cfg.FN {
 			// Same stack serves FN and speaks BN (the kernel era).
 			st := c.newStack(cfg.FN, host, cores, nil)
-			fnStack, bnClient = st, st
+			fnStack, bnStack = st, st
 		} else {
 			mux := simnet.NewMux(host)
 			fn := c.newStack(cfg.FN, host, cores, nil)
 			bn := c.newStack(c.bnKind(), host, cores, nil)
 			c.routeMux(mux, cfg.FN, fn)
 			c.routeMux(mux, c.bnKind(), bn)
-			fnStack, bnClient = fn, bn
+			fnStack, bnStack = fn, bn
 		}
-		bs, err := blockserver.New(heng, fmt.Sprintf("block%d", i), fnStack, bnClient,
+		bs, err := blockserver.New(heng, fmt.Sprintf("block%d", i), fnStack, bnStack,
 			chunkAddrs, cores, blockserver.DefaultParams())
 		if err != nil {
 			panic(err)
 		}
-		c.blocks = append(c.blocks, &StorageServer{Host: host, Cores: cores, Block: bs, FN: fnStack})
+		c.blocks = append(c.blocks, &StorageServer{Host: host, Cores: cores, Block: bs, FN: fnStack, BN: bnStack})
 	}
 
 	// Compute servers.
@@ -214,7 +214,7 @@ func New(cfg Config) *Cluster {
 			c.computes = append(c.computes, &ComputeServer{
 				Host: host, Cores: cores, DPU: card, Stack: lo, Agent: agent,
 			})
-			c.blocks = append(c.blocks, &StorageServer{Host: host, Cores: cores, Block: bs, FN: lo})
+			c.blocks = append(c.blocks, &StorageServer{Host: host, Cores: cores, Block: bs, FN: lo, BN: bn})
 			continue
 		}
 

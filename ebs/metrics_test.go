@@ -1,6 +1,7 @@
 package ebs
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -102,5 +103,51 @@ func TestClusterFlightRecorder(t *testing.T) {
 	var sb2 strings.Builder
 	if got := c2.DumpFlightRecorders(&sb2); got != 0 {
 		t.Fatalf("default config dumped %d events", got)
+	}
+}
+
+// On an RDMA-BN cluster every RDMA stack — the compute FN stacks and each
+// block and chunk server's BN stack — exports its QP and cache counters.
+func TestClusterExportRDMAMetrics(t *testing.T) {
+	for _, fn := range []StackKind{RDMA, Solar} {
+		t.Run(fn.String(), func(t *testing.T) {
+			c := testCluster(t, fn)
+			vd := c.MustProvision(0, 64<<20, DefaultQoS())
+			vd.Write(0, fill(16<<10, 0x3c), func(IOResult) {})
+			c.Run()
+
+			reg := stats.NewRegistry()
+			c.ExportMetrics(reg, "")
+			var prefixes []string
+			if fn == RDMA {
+				prefixes = append(prefixes, "compute0/", "compute1/")
+			}
+			for i := range c.Blocks() {
+				prefixes = append(prefixes, fmt.Sprintf("block%d/bn/", i))
+			}
+			for i := range c.Chunks() {
+				prefixes = append(prefixes, fmt.Sprintf("chunk%d/bn/", i))
+			}
+			names := map[string]bool{}
+			for _, m := range reg.Snapshot().Metrics {
+				names[m.Name] = true
+			}
+			var qps float64
+			var misses uint64
+			for _, p := range prefixes {
+				for _, key := range []string{"qps", "cache_misses", "retransmits", "cnps_sent", "cnps_recv"} {
+					if !names[p+key] {
+						t.Fatalf("missing metric %q", p+key)
+					}
+				}
+				qps += reg.Gauge(p + "qps")
+				misses += reg.Counter(p + "cache_misses")
+			}
+			// The write crossed the BN to three replicas: QPs exist and
+			// each one's first packet missed the context cache.
+			if qps == 0 || misses == 0 {
+				t.Fatalf("RDMA counters not exported: qps=%v cache_misses=%d", qps, misses)
+			}
+		})
 	}
 }

@@ -58,6 +58,8 @@ type Server struct {
 	writes, reads     uint64
 	rejects           uint64 // not-owner rejections after a cutover
 	crcFoldMismatches uint64
+
+	freeJobs []*rpcJob
 }
 
 // New creates a block server serving requests from fn, replicating over bn
@@ -92,26 +94,28 @@ func (s *Server) CRCFoldMismatches() uint64 { return s.crcFoldMismatches }
 // after a segment cutover (each one is a client retry).
 func (s *Server) Rejects() uint64 { return s.rejects }
 
-// replicaSet returns the chunk servers for a segment (deterministic by
-// segment ID so all writers agree), unless the control plane pinned an
-// override during a drain.
-func (s *Server) replicaSet(segmentID uint64) []uint32 {
+// appendReplicaSet appends the chunk servers for a segment to dst
+// (deterministic by segment ID so all writers agree), unless the control
+// plane pinned an override during a drain.
+func (s *Server) appendReplicaSet(dst []uint32, segmentID uint64) []uint32 {
 	if set, ok := s.replicaOverride[segmentID]; ok {
-		return set
+		return append(dst, set...)
 	}
 	base := int(segmentID) % len(s.replicas)
-	out := make([]uint32, Replicas)
 	for i := 0; i < Replicas; i++ {
-		out[i] = s.replicas[(base+i)%len(s.replicas)]
+		dst = append(dst, s.replicas[(base+i)%len(s.replicas)])
 	}
-	return out
+	return dst
+}
+
+// replicaSet returns a fresh copy of a segment's chunk replica set.
+func (s *Server) replicaSet(segmentID uint64) []uint32 {
+	return s.appendReplicaSet(nil, segmentID)
 }
 
 // ReplicaSet exposes the current chunk replica set of a segment to the
 // control plane (drain planning).
-func (s *Server) ReplicaSet(segmentID uint64) []uint32 {
-	return append([]uint32(nil), s.replicaSet(segmentID)...)
-}
+func (s *Server) ReplicaSet(segmentID uint64) []uint32 { return s.replicaSet(segmentID) }
 
 // SetReplicaSet pins a segment's chunk replica set. The control plane
 // calls it at a drain cutover, after the replacement replica has been
@@ -151,81 +155,156 @@ func (s *Server) AdoptSegment(segmentID uint64, set []uint32) error {
 	return nil
 }
 
+// rpcJob is one FN request in flight: its dispatch through the per-RPC
+// CPU charge and, for a write, the fan-out to the replicas and the commit
+// accounting. Records are pooled (LIFO, deterministic reuse) and each
+// replica call's completion callback is bound once per record, so a
+// replicated write allocates nothing per replica.
+type rpcJob struct {
+	s     *Server
+	t0    sim.Time
+	req   *transport.Message
+	reply func(*transport.Response)
+
+	set       []uint32 // the write's replica set; the backing is reused
+	calls     []*replicaCall
+	wantFold  uint32
+	checkFold bool
+	remaining int
+	maxSSD    time.Duration
+	firstErr  error
+}
+
+// replicaCall is one replica's completion.
+type replicaCall struct {
+	j     *rpcJob
+	chunk uint32
+	done  func(*transport.Response)
+}
+
+func (s *Server) getJob() *rpcJob {
+	if n := len(s.freeJobs); n > 0 {
+		j := s.freeJobs[n-1]
+		s.freeJobs[n-1] = nil
+		s.freeJobs = s.freeJobs[:n-1]
+		return j
+	}
+	return &rpcJob{s: s}
+}
+
+func (s *Server) putJob(j *rpcJob) {
+	j.req, j.reply, j.firstErr = nil, nil, nil
+	j.set = j.set[:0]
+	s.freeJobs = append(s.freeJobs, j)
+}
+
+// call returns the record's i-th replica call, growing the set on first use.
+func (j *rpcJob) call(i int) *replicaCall {
+	for len(j.calls) <= i {
+		rc := &replicaCall{j: j}
+		rc.done = rc.committed
+		j.calls = append(j.calls, rc)
+	}
+	return j.calls[i]
+}
+
 // Handle is the FN request handler (exported for tests and for wiring
 // through additional dispatch layers).
 func (s *Server) Handle(src uint32, req *transport.Message, reply func(*transport.Response)) {
-	t0 := s.eng.Now()
 	blocks := (len(req.Data) + wire.BlockSize - 1) / wire.BlockSize
 	if req.Op == wire.RPCReadReq {
 		blocks = (req.ReadLen + wire.BlockSize - 1) / wire.BlockSize
 	}
 	cost := s.params.PerRPCCPU + time.Duration(blocks)*s.params.PerBlockCPU
-	s.cores.Submit(cost, func() {
-		if newOwner, gone := s.released[req.SegmentID]; gone {
-			s.rejects++
-			reply(&transport.Response{Err: fmt.Errorf(
-				"blockserver %s: segment %d released to %d: %w",
-				s.name, req.SegmentID, newOwner, transport.ErrNotOwner)})
-			return
-		}
-		switch req.Op {
-		case wire.RPCWriteReq:
-			s.writes++
-			s.replicateWrite(t0, req, reply)
-		case wire.RPCReadReq:
-			s.reads++
-			s.serveRead(t0, req, reply)
-		default:
-			reply(&transport.Response{Err: fmt.Errorf("blockserver %s: bad op %d", s.name, req.Op)})
-		}
-	})
+	j := s.getJob()
+	j.t0, j.req, j.reply = s.eng.Now(), req, reply
+	s.cores.SubmitArg(cost, serve, j)
+}
+
+// serve dispatches a request once its CPU charge completes.
+func serve(a any) {
+	j := a.(*rpcJob)
+	s, t0, req, reply := j.s, j.t0, j.req, j.reply
+	if newOwner, gone := s.released[req.SegmentID]; gone {
+		s.putJob(j)
+		s.rejects++
+		reply(&transport.Response{Err: fmt.Errorf(
+			"blockserver %s: segment %d released to %d: %w",
+			s.name, req.SegmentID, newOwner, transport.ErrNotOwner)})
+		return
+	}
+	switch req.Op {
+	case wire.RPCWriteReq:
+		s.writes++
+		s.replicateWrite(j)
+	case wire.RPCReadReq:
+		s.putJob(j)
+		s.reads++
+		s.serveRead(t0, req, reply)
+	default:
+		s.putJob(j)
+		reply(&transport.Response{Err: fmt.Errorf("blockserver %s: bad op %d", s.name, req.Op)})
+	}
 }
 
 // replicateWrite fans the blocks out to all replicas over the BN; the write
 // acknowledges when every replica has committed (step 3→4 in Fig. 2).
+// Every replica is sent the FN request itself, which stays valid until
+// the reply: its payload and slab (which each BN send retains) are shared,
+// so the fan-out copies no data.
 //
 // When the request carries one-touch CRC metadata the commit is
 // cross-checked without touching a single payload byte: the per-block list
 // is folded once with the memoized 4 KiB GF(2) combine operator, and each
 // replica's reported commit fold must match it — catching any metadata
 // corruption or desynchronization along the BN path.
-func (s *Server) replicateWrite(t0 sim.Time, req *transport.Message, reply func(*transport.Response)) {
-	set := s.replicaSet(req.SegmentID)
-	remaining := len(set)
-	var wantFold uint32
-	checkFold := len(req.BlockCRCs) > 0
-	if checkFold {
-		wantFold = crc.CombineBlocks(req.BlockCRCs, wire.BlockSize)
+func (s *Server) replicateWrite(j *rpcJob) {
+	req := j.req
+	j.set = s.appendReplicaSet(j.set[:0], req.SegmentID)
+	j.remaining = len(j.set)
+	j.maxSSD = 0
+	j.checkFold = len(req.BlockCRCs) > 0
+	j.wantFold = 0
+	if j.checkFold {
+		j.wantFold = crc.CombineBlocks(req.BlockCRCs, wire.BlockSize)
 	}
-	var maxSSD time.Duration
-	var firstErr error
-	for _, chunk := range set {
-		msg := *req // each replica gets the same payload
-		s.bn.Call(chunk, &msg, func(resp *transport.Response) {
-			if checkFold && resp.Err == nil && len(resp.BlockCRCs) == 1 && resp.BlockCRCs[0] != wantFold {
-				s.crcFoldMismatches++
-				if firstErr == nil {
-					firstErr = fmt.Errorf("blockserver %s: replica %d commit CRC fold mismatch: got %08x want %08x",
-						s.name, chunk, resp.BlockCRCs[0], wantFold)
-				}
-			}
-			if resp.Err != nil && firstErr == nil {
-				firstErr = resp.Err
-			}
-			if resp.SSDTime > maxSSD {
-				maxSSD = resp.SSDTime
-			}
-			remaining--
-			if remaining > 0 {
-				return
-			}
-			reply(&transport.Response{
-				Err:        firstErr,
-				ServerWall: s.eng.Now().Sub(t0),
-				SSDTime:    maxSSD,
-			})
-		})
+	for i, chunk := range j.set {
+		rc := j.call(i)
+		rc.chunk = chunk
+		s.bn.Call(chunk, req, rc.done)
 	}
+}
+
+// committed folds one replica's commit into its write and replies once
+// every replica has answered.
+func (rc *replicaCall) committed(resp *transport.Response) {
+	j := rc.j
+	s := j.s
+	if j.checkFold && resp.Err == nil && len(resp.BlockCRCs) == 1 && resp.BlockCRCs[0] != j.wantFold {
+		s.crcFoldMismatches++
+		if j.firstErr == nil {
+			j.firstErr = fmt.Errorf("blockserver %s: replica %d commit CRC fold mismatch: got %08x want %08x",
+				s.name, rc.chunk, resp.BlockCRCs[0], j.wantFold)
+		}
+	}
+	if resp.Err != nil && j.firstErr == nil {
+		j.firstErr = resp.Err
+	}
+	if resp.SSDTime > j.maxSSD {
+		j.maxSSD = resp.SSDTime
+	}
+	j.remaining--
+	if j.remaining > 0 {
+		return
+	}
+	reply := j.reply
+	out := &transport.Response{
+		Err:        j.firstErr,
+		ServerWall: s.eng.Now().Sub(j.t0),
+		SSDTime:    j.maxSSD,
+	}
+	s.putJob(j)
+	reply(out)
 }
 
 // serveRead fetches the range from the primary replica.

@@ -68,6 +68,20 @@ type Server struct {
 	// rec is the optional flight recorder; CRC rejections — the paper's
 	// Fig. 11 corruption events — are its marquee customer. Nil-safe.
 	rec *trace.Recorder
+
+	freeWrites []*blockWrite
+}
+
+// blockWrite carries one block write through IOPS admission and the disk.
+// Records are pooled (LIFO, deterministic reuse), so a write allocates
+// only the stored copy of its data.
+type blockWrite struct {
+	s            *Server
+	segment, lba uint64
+	gen          uint32
+	stored       []byte
+	expect       uint32
+	done         func(error)
 }
 
 // New creates a chunk server.
@@ -113,35 +127,54 @@ func (s *Server) admissionDelay() time.Duration {
 // Fig. 11 corruption events. done fires when the block is durable in the
 // write cache.
 func (s *Server) WriteBlock(segment, lba uint64, gen uint32, data []byte, expectCRC uint32, done func(err error)) {
-	stored := append([]byte(nil), data...)
-	admission := s.admissionDelay()
-	s.eng.Schedule(admission, func() {
-		service := s.rand.LogNormal(s.cfg.WriteCacheMedian, s.cfg.WriteSigma)
-		s.disk.Submit(service, func() {
-			s.writes++
-			if got := crc.Raw(stored); got != expectCRC {
-				s.crcErrors++
-				s.rec.Record(s.eng.Now().Duration(), trace.EvCRCError, segment, lba)
-				done(fmt.Errorf("chunkserver %s: CRC mismatch at seg=%d lba=%#x: got %08x want %08x",
-					s.name, segment, lba, got, expectCRC))
-				return
-			}
-			seg := s.blocks[segment]
-			if seg == nil {
-				seg = map[uint64]blockRec{}
-				s.blocks[segment] = seg
-			}
-			prev, exists := seg[lba]
-			if exists && prev.gen > gen {
-				// Stale retransmitted generation: keep the newer data but
-				// still acknowledge (idempotent write).
-				done(nil)
-				return
-			}
-			seg[lba] = blockRec{data: stored, crc: expectCRC, gen: gen}
-			done(nil)
-		})
-	})
+	var w *blockWrite
+	if n := len(s.freeWrites); n > 0 {
+		w = s.freeWrites[n-1]
+		s.freeWrites[n-1] = nil
+		s.freeWrites = s.freeWrites[:n-1]
+	} else {
+		w = &blockWrite{s: s}
+	}
+	w.segment, w.lba, w.gen, w.expect, w.done = segment, lba, gen, expectCRC, done
+	w.stored = append([]byte(nil), data...)
+	s.eng.ScheduleArg(s.admissionDelay(), blockWriteAdmitted, w)
+}
+
+// blockWriteAdmitted starts the media write once the IOPS slot arrives.
+func blockWriteAdmitted(a any) {
+	w := a.(*blockWrite)
+	w.s.disk.SubmitArg(w.s.rand.LogNormal(w.s.cfg.WriteCacheMedian, w.s.cfg.WriteSigma), blockWriteDone, w)
+}
+
+// blockWriteDone verifies and commits the block once it is durable in the
+// write cache.
+func blockWriteDone(a any) {
+	w := a.(*blockWrite)
+	s, segment, lba, gen, stored, expectCRC, done := w.s, w.segment, w.lba, w.gen, w.stored, w.expect, w.done
+	*w = blockWrite{s: s}
+	s.freeWrites = append(s.freeWrites, w)
+	s.writes++
+	if got := crc.Raw(stored); got != expectCRC {
+		s.crcErrors++
+		s.rec.Record(s.eng.Now().Duration(), trace.EvCRCError, segment, lba)
+		done(fmt.Errorf("chunkserver %s: CRC mismatch at seg=%d lba=%#x: got %08x want %08x",
+			s.name, segment, lba, got, expectCRC))
+		return
+	}
+	seg := s.blocks[segment]
+	if seg == nil {
+		seg = map[uint64]blockRec{}
+		s.blocks[segment] = seg
+	}
+	prev, exists := seg[lba]
+	if exists && prev.gen > gen {
+		// Stale retransmitted generation: keep the newer data but
+		// still acknowledge (idempotent write).
+		done(nil)
+		return
+	}
+	seg[lba] = blockRec{data: stored, crc: expectCRC, gen: gen}
+	done(nil)
 }
 
 // ReadBlock fetches one block. done receives the payload, its stored raw

@@ -13,6 +13,65 @@ import (
 type Service struct {
 	eng *sim.Engine
 	cs  *Server
+
+	freeWrites []*replicaWrite
+}
+
+// replicaWrite is one BN write request in flight: it counts block commits
+// and replies once the last one lands. Records are pooled and their
+// per-block completion callback is bound once, so a replica write
+// allocates only its stored copy and its reply.
+type replicaWrite struct {
+	s         *Service
+	t0        sim.Time
+	reply     func(*transport.Response)
+	remaining int
+	firstErr  error
+	hasFold   bool
+	fold      uint32
+	done      func(error)
+}
+
+// commitReply is a write reply with its one-entry CRC fold inline. The
+// BN stack may hold the reply until it is sent, so it is allocated.
+type commitReply struct {
+	resp transport.Response
+	fold [1]uint32
+}
+
+func (s *Service) getWrite() *replicaWrite {
+	if n := len(s.freeWrites); n > 0 {
+		w := s.freeWrites[n-1]
+		s.freeWrites[n-1] = nil
+		s.freeWrites = s.freeWrites[:n-1]
+		return w
+	}
+	w := &replicaWrite{s: s}
+	w.done = w.blockDone
+	return w
+}
+
+// blockDone folds one block commit into the request.
+func (w *replicaWrite) blockDone(err error) {
+	if err != nil && w.firstErr == nil {
+		w.firstErr = err
+	}
+	w.remaining--
+	if w.remaining > 0 {
+		return
+	}
+	s := w.s
+	out := &commitReply{}
+	out.resp.Err = w.firstErr
+	if w.hasFold {
+		out.fold[0] = w.fold
+		out.resp.BlockCRCs = out.fold[:]
+	}
+	out.resp.SSDTime = s.eng.Now().Sub(w.t0)
+	reply := w.reply
+	w.reply, w.firstErr = nil, nil
+	s.freeWrites = append(s.freeWrites, w)
+	reply(&out.resp)
 }
 
 // NewService installs the chunk server as bn's request handler.
@@ -33,17 +92,19 @@ func (s *Service) Handle(src uint32, req *transport.Message, reply func(*transpo
 		// the device boundary verifies end-to-end against the ingress hash
 		// and the service never re-walks the payload. The reply echoes a
 		// GF(2) fold of the committed list (one Combine per block, no data
-		// bytes touched) for the block server's replica cross-check.
+		// bytes touched) for the block server's replica cross-check. The
+		// store copies each block before WriteBlock returns, so nothing
+		// here outlives the request envelope.
 		carried := req.BlockCRCs
 		if len(carried) != n {
 			carried = nil
 		}
-		var fold []uint32
-		if carried != nil {
-			fold = []uint32{crc.CombineBlocks(carried, wire.BlockSize)}
+		w := s.getWrite()
+		w.t0, w.reply, w.remaining = t0, reply, n
+		w.hasFold = carried != nil
+		if w.hasFold {
+			w.fold = crc.CombineBlocks(carried, wire.BlockSize)
 		}
-		remaining := n
-		var firstErr error
 		for i := 0; i < n; i++ {
 			lo := i * wire.BlockSize
 			hi := lo + wire.BlockSize
@@ -57,15 +118,7 @@ func (s *Service) Handle(src uint32, req *transport.Message, reply func(*transpo
 			} else {
 				expect = crc.Raw(block)
 			}
-			s.cs.WriteBlock(req.SegmentID, req.LBA+uint64(lo), req.Gen, block, expect, func(err error) {
-				if err != nil && firstErr == nil {
-					firstErr = err
-				}
-				remaining--
-				if remaining == 0 {
-					reply(&transport.Response{Err: firstErr, BlockCRCs: fold, SSDTime: s.eng.Now().Sub(t0)})
-				}
-			})
+			s.cs.WriteBlock(req.SegmentID, req.LBA+uint64(lo), req.Gen, block, expect, w.done)
 		}
 	case wire.RPCReadReq:
 		n := (req.ReadLen + wire.BlockSize - 1) / wire.BlockSize

@@ -1,6 +1,9 @@
-// Package crc implements the CRC32 machinery EBS relies on for end-to-end
-// data integrity, built from scratch (table generation, slicing-by-8, and
-// GF(2) combine), plus the two properties Solar's design exploits:
+// Package crc holds the CRC32 machinery EBS relies on for end-to-end data
+// integrity. The checksum itself is the standard library's Castagnoli
+// (CRC-32C) implementation, which uses the CPU's CRC instructions where
+// they exist; this package adds the parts the paper's design needs on top
+// of it — the GF(2) combine operators and the XOR aggregation — built on
+// two properties Solar exploits:
 //
 //  1. A "raw" (zero-init, no final inversion) CRC32 is linear over GF(2):
 //     Raw(a XOR b) == Raw(a) XOR Raw(b) for equal-length inputs. Solar's
@@ -14,77 +17,39 @@
 // ext4, NVMe).
 package crc
 
+import "hash/crc32"
+
 // Poly is the reversed Castagnoli polynomial.
-const Poly = 0x82f63b78
+const Poly = crc32.Castagnoli
 
-var (
-	// table[0] is the classic byte-at-a-time table; table[1..7] extend it
-	// for slicing-by-8.
-	table [8][256]uint32
-)
-
-func init() {
-	for i := 0; i < 256; i++ {
-		crc := uint32(i)
-		for j := 0; j < 8; j++ {
-			if crc&1 == 1 {
-				crc = (crc >> 1) ^ Poly
-			} else {
-				crc >>= 1
-			}
-		}
-		table[0][i] = crc
-	}
-	for i := 0; i < 256; i++ {
-		crc := table[0][i]
-		for k := 1; k < 8; k++ {
-			crc = table[0][crc&0xff] ^ (crc >> 8)
-			table[k][i] = crc
-		}
-	}
-}
-
-// update advances a raw (non-inverted) CRC state over p using slicing-by-8.
-func update(crc uint32, p []byte) uint32 {
-	for len(p) >= 8 {
-		crc ^= uint32(p[0]) | uint32(p[1])<<8 | uint32(p[2])<<16 | uint32(p[3])<<24
-		crc = table[7][crc&0xff] ^
-			table[6][(crc>>8)&0xff] ^
-			table[5][(crc>>16)&0xff] ^
-			table[4][(crc>>24)&0xff] ^
-			table[3][p[4]] ^
-			table[2][p[5]] ^
-			table[1][p[6]] ^
-			table[0][p[7]]
-		p = p[8:]
-	}
-	for _, b := range p {
-		crc = table[0][byte(crc)^b] ^ (crc >> 8)
-	}
-	return crc
-}
+// table returns the stdlib's Castagnoli table. MakeTable builds it (and
+// the hardware path's folding tables) on first use only, so programs that
+// never checksum never pay for them.
+func table() *crc32.Table { return crc32.MakeTable(crc32.Castagnoli) }
 
 // Checksum returns the standard CRC-32C of data (init 0xFFFFFFFF, final
 // inversion), matching hash/crc32.Checksum(data, Castagnoli).
 func Checksum(data []byte) uint32 {
-	return update(0xffffffff, data) ^ 0xffffffff
+	return crc32.Update(0, table(), data)
 }
 
 // Update continues a standard CRC-32C from a previous Checksum result.
 func Update(crc uint32, data []byte) uint32 {
-	return update(crc^0xffffffff, data) ^ 0xffffffff
+	return crc32.Update(crc, table(), data)
 }
 
 // Raw returns the linear CRC-32C of data: zero initial state and no final
 // inversion. For equal-length blocks, Raw(a⊕b) == Raw(a)⊕Raw(b); this is
 // the form the FPGA CRC engine emits per block and the CPU aggregates.
 func Raw(data []byte) uint32 {
-	return update(0, data)
+	return RawUpdate(0, data)
 }
 
-// RawUpdate continues a raw CRC from a previous Raw result.
+// RawUpdate continues a raw CRC from a previous Raw result. The stdlib
+// form inverts the state on the way in and out; undoing both inversions
+// leaves the raw register.
 func RawUpdate(crc uint32, data []byte) uint32 {
-	return update(crc, data)
+	return ^crc32.Update(^crc, table(), data)
 }
 
 // gf2MatTimes multiplies matrix m by vector v over GF(2).

@@ -9,6 +9,120 @@ import (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
+// oracleTable is the slicing-by-8 table of the package's original
+// from-scratch CRC-32C: table[0] is the classic byte-at-a-time table and
+// table[1..7] extend it. It is kept here, and only here, as an independent
+// oracle for the stdlib-backed implementation.
+var oracleTable = func() (t [8][256]uint32) {
+	for i := 0; i < 256; i++ {
+		c := uint32(i)
+		for j := 0; j < 8; j++ {
+			if c&1 == 1 {
+				c = (c >> 1) ^ Poly
+			} else {
+				c >>= 1
+			}
+		}
+		t[0][i] = c
+	}
+	for i := 0; i < 256; i++ {
+		c := t[0][i]
+		for k := 1; k < 8; k++ {
+			c = t[0][c&0xff] ^ (c >> 8)
+			t[k][i] = c
+		}
+	}
+	return t
+}()
+
+// oracleUpdate advances a raw (non-inverted) CRC state over p using
+// slicing-by-8.
+func oracleUpdate(crc uint32, p []byte) uint32 {
+	t := &oracleTable
+	for len(p) >= 8 {
+		crc ^= uint32(p[0]) | uint32(p[1])<<8 | uint32(p[2])<<16 | uint32(p[3])<<24
+		crc = t[7][crc&0xff] ^
+			t[6][(crc>>8)&0xff] ^
+			t[5][(crc>>16)&0xff] ^
+			t[4][(crc>>24)&0xff] ^
+			t[3][p[4]] ^
+			t[2][p[5]] ^
+			t[1][p[6]] ^
+			t[0][p[7]]
+		p = p[8:]
+	}
+	for _, b := range p {
+		crc = t[0][byte(crc)^b] ^ (crc >> 8)
+	}
+	return crc
+}
+
+// oracleState is the oracle's view of one stream: the raw register and
+// the standard (inverted) register, both started after a prefix.
+type oracleState struct {
+	raw, std uint32 // register values, before any final inversion
+}
+
+func startOracle(prefix []byte) oracleState {
+	return oracleState{raw: oracleUpdate(0, prefix), std: oracleUpdate(0xffffffff, prefix)}
+}
+
+func (o oracleState) update(p []byte) oracleState {
+	return oracleState{raw: oracleUpdate(o.raw, p), std: oracleUpdate(o.std, p)}
+}
+
+// checkAgainstOracle compares all four entry points on data with the
+// oracle: Raw and Checksum from a fresh start (zero and zero-prefix
+// states), RawUpdate and Update continuing from the prefix, whose oracle
+// states are pre and fresh/cont the states after data.
+func checkAgainstOracle(t *testing.T, pre, fresh, cont oracleState, data []byte) {
+	t.Helper()
+	if got := Raw(data); got != fresh.raw {
+		t.Fatalf("Raw len=%d: %08x, oracle %08x", len(data), got, fresh.raw)
+	}
+	if got, want := Checksum(data), fresh.std^0xffffffff; got != want {
+		t.Fatalf("Checksum len=%d: %08x, oracle %08x", len(data), got, want)
+	}
+	if got := RawUpdate(pre.raw, data); got != cont.raw {
+		t.Fatalf("RawUpdate len=%d: %08x, oracle %08x", len(data), got, cont.raw)
+	}
+	if got, want := Update(pre.std^0xffffffff, data), cont.std^0xffffffff; got != want {
+		t.Fatalf("Update len=%d: %08x, oracle %08x", len(data), got, want)
+	}
+}
+
+// TestRawMatchesOracle checks Raw/RawUpdate/Checksum/Update against the
+// slicing-by-8 oracle for every length 0–9000 at every offset 0–7, so
+// each alignment the hardware path special-cases is covered. The oracle
+// advances one byte per length, so its cost stays linear.
+func TestRawMatchesOracle(t *testing.T) {
+	buf := make([]byte, 9000+8)
+	rand.New(rand.NewSource(8)).Read(buf)
+	for off := 0; off < 8; off++ {
+		pre := startOracle(buf[:off])
+		fresh, cont := startOracle(nil), pre
+		for n := 0; n <= 9000; n++ {
+			if n > 0 {
+				b := buf[off+n-1 : off+n]
+				fresh, cont = fresh.update(b), cont.update(b)
+			}
+			checkAgainstOracle(t, pre, fresh, cont, buf[off:off+n])
+		}
+	}
+}
+
+// FuzzRaw cross-checks the four entry points against the oracle on
+// arbitrary inputs split at an arbitrary point.
+func FuzzRaw(f *testing.F) {
+	f.Add([]byte{}, uint16(0))
+	f.Add([]byte("123456789"), uint16(3))
+	f.Fuzz(func(t *testing.T, data []byte, split uint16) {
+		at := int(split) % (len(data) + 1)
+		pre := startOracle(data[:at])
+		checkAgainstOracle(t, pre, startOracle(data[at:]), pre.update(data[at:]), data[at:])
+	})
+}
+
 func TestChecksumMatchesStdlib(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 200; trial++ {

@@ -63,15 +63,9 @@ type qp struct {
 	lastCNP   sim.Time
 
 	lastRewind sim.Time // rate-limits go-back-N to once per RTT
-}
 
-type inMsg struct {
-	ebs      wire.EBS
-	msgType  uint8
-	numPkts  int
-	received int
-	payload  []byte
-	crcs     []uint32 // carried one-touch block CRCs, in PSN order
+	// The QP's resident copies in the NIC context cache, in list order.
+	ctxFirst, ctxLast *ctxNode
 }
 
 func newQP(s *Stack, k qpKey) *qp {
@@ -98,8 +92,11 @@ func seqLT(a, b uint32) bool { return int32(a-b) < 0 }
 // (the copy-path hatch). When the caller supplied per-block one-touch CRCs
 // and the chunking aligns with them — MTU == BlockSize for data, or a single
 // header-only packet carrying a fold — each packet's EBS header carries
-// its block's CRC, flagged with EBSFlagHasCRC.
-func (q *qp) sendMessage(id uint64, op uint8, req *transport.Message, resp *transport.Response) {
+// its block's CRC, flagged with EBSFlagHasCRC. pin, when non-nil, is a
+// slab reference the caller hands over (a response pins its request's
+// bytes): a zero-copy payload's packets hold it in place of a wrapper,
+// and otherwise it is released here.
+func (q *qp) sendMessage(id uint64, op uint8, req *transport.Message, resp *transport.Response, pin *simnet.Slab) {
 	var payload []byte
 	var crcs []uint32
 	var paySlab *simnet.Slab
@@ -138,9 +135,12 @@ func (q *qp) sendMessage(id uint64, op uint8, req *transport.Message, resp *tran
 	// slab (the caller's, when it already has one) instead of being copied.
 	var ioSlab *simnet.Slab
 	if simnet.ZeroCopy() && len(payload) > 0 {
-		if paySlab != nil {
+		switch {
+		case paySlab != nil:
 			ioSlab = paySlab.Retain()
-		} else {
+		case pin != nil:
+			ioSlab, pin = pin, nil
+		default:
 			ioSlab = q.s.pool.WrapSlab(payload)
 		}
 	}
@@ -182,6 +182,9 @@ func (q *qp) sendMessage(id uint64, op uint8, req *transport.Message, resp *tran
 	}
 	if ioSlab != nil {
 		ioSlab.Release()
+	}
+	if pin != nil {
+		pin.Release()
 	}
 	q.pump()
 }
@@ -238,63 +241,58 @@ func (q *qp) lookup(psn uint32) *outPkt {
 }
 
 // transmit sends the queued packet holding psn, paying cache and PCIe
-// costs. The frame is built only when the NIC actually fires: a cumulative
-// ack racing the cache/PCIe crossing may retire the PSN first, in which
-// case nothing goes out — an RNIC never replays acknowledged PSNs, and the
-// packet's pooled header and payload reference are already reclaimed.
+// costs (txPCIe, txFire). The frame is built only when the NIC actually
+// fires: a cumulative ack racing the cache/PCIe crossing may retire the
+// PSN first, in which case nothing goes out — an RNIC never replays
+// acknowledged PSNs, and the packet's pooled header and payload reference
+// are already reclaimed.
 func (q *qp) transmit(psn uint32) {
-	send := func() {
-		p := q.lookup(psn)
-		if p == nil {
-			return
-		}
-		bth := wire.TCPSeg{
-			SrcPort: q.key.localQPN,
-			DstPort: q.key.remoteQPN,
-			Seq:     psn,
-			Ack:     q.expectPSN,
-			Flags:   wire.TCPFlagACK,
-		}
-		// Every transmission builds its own frame: BTH and header image are
-		// private to the frame, the chunk rides as a refcounted fragment —
-		// the RNIC's gather DMA from registered memory.
-		pkt := q.s.pool.Get(pktHdrSize)
-		if err := bth.Encode(pkt.Payload); err != nil {
-			panic(err)
-		}
-		copy(pkt.Payload[wire.TCPSegSize:], p.hdr)
-		if p.slab != nil {
-			pkt.AttachFrag(p.slab, p.pay)
-		}
-		pkt.Dst = q.key.peer
-		pkt.Proto = Proto
-		pkt.SrcPort = q.key.localQPN
-		pkt.DstPort = q.key.remoteQPN
-		pkt.Overhead = simnet.EthOverhead + wire.IPv4Size
-		pkt.SentAt = q.s.eng.Now()
-		if q.s.params.CC == cc.KindDCQCN {
-			// DCQCN data is ECN-capable: switches CE-mark instead of only
-			// tail-dropping, and the receiver answers marks with CNPs.
-			pkt.ECN = wire.ECNECT0
-		}
-		p.sentAt = pkt.SentAt
-		if !q.s.host.Send(pkt) {
-			pkt.Release()
-		}
+	j := q.s.getPktJob(q)
+	j.psn = psn
+	q.s.touchCache(j, txPCIe)
+}
+
+// fire builds and sends the frame for the queued packet holding psn.
+//
+//lint:hotpath
+func (q *qp) fire(psn uint32) {
+	p := q.lookup(psn)
+	if p == nil {
+		return
 	}
-	step := func() {
-		p := q.lookup(psn)
-		if p == nil {
-			return
-		}
-		data := len(p.pay)
-		if q.s.pcie != nil && data > 0 {
-			q.s.pcie.Transfer(2*data, send)
-		} else {
-			send()
-		}
+	bth := wire.TCPSeg{
+		SrcPort: q.key.localQPN,
+		DstPort: q.key.remoteQPN,
+		Seq:     psn,
+		Ack:     q.expectPSN,
+		Flags:   wire.TCPFlagACK,
 	}
-	q.s.touchCache(q.key, step)
+	// Every transmission builds its own frame: BTH and header image are
+	// private to the frame, the chunk rides as a refcounted fragment —
+	// the RNIC's gather DMA from registered memory.
+	pkt := q.s.pool.Get(pktHdrSize)
+	if err := bth.Encode(pkt.Payload); err != nil {
+		panic(err)
+	}
+	copy(pkt.Payload[wire.TCPSegSize:], p.hdr)
+	if p.slab != nil {
+		pkt.AttachFrag(p.slab, p.pay)
+	}
+	pkt.Dst = q.key.peer
+	pkt.Proto = Proto
+	pkt.SrcPort = q.key.localQPN
+	pkt.DstPort = q.key.remoteQPN
+	pkt.Overhead = simnet.EthOverhead + wire.IPv4Size
+	pkt.SentAt = q.s.eng.Now()
+	if q.s.params.CC == cc.KindDCQCN {
+		// DCQCN data is ECN-capable: switches CE-mark instead of only
+		// tail-dropping, and the receiver answers marks with CNPs.
+		pkt.ECN = wire.ECNECT0
+	}
+	p.sentAt = pkt.SentAt
+	if !q.s.host.Send(pkt) {
+		pkt.Release()
+	}
 }
 
 // control sends a pure ACK or NAK frame.
@@ -417,9 +415,10 @@ func (q *qp) releasePkt(p *outPkt) {
 }
 
 // packetArrived processes one inbound frame on this QP. chunk is the data
-// fragment for zero-copy frames (nil for flat or control frames). ce
-// reports a CE mark on the frame; hops is the fabric hop count it crossed.
-func (q *qp) packetArrived(bth wire.TCPSeg, rest, chunk []byte, ce bool, hops int) {
+// fragment for zero-copy frames (nil for flat or control frames) and frag
+// the slab backing it. ce reports a CE mark on the frame; hops is the
+// fabric hop count it crossed.
+func (q *qp) packetArrived(bth wire.TCPSeg, rest, chunk []byte, frag *simnet.Slab, ce bool, hops int) {
 	if bth.Flags&wire.TCPFlagECE != 0 {
 		// CNP: a pure congestion signal, carrying no ack or data. Feed the
 		// controller and stop — the payload is the wire.CNP frame.
@@ -452,7 +451,11 @@ func (q *qp) packetArrived(bth wire.TCPSeg, rest, chunk []byte, ce bool, hops in
 			}
 			q.releasePkt(p)
 		}
-		q.sndQueue = q.sndQueue[n:]
+		// Slide the survivors to the front so the queue reuses its
+		// backing array instead of walking off its end.
+		live := copy(q.sndQueue, q.sndQueue[n:])
+		clear(q.sndQueue[live:])
+		q.sndQueue = q.sndQueue[:live]
 		q.sndUna = ack
 		if seqLT(q.sndNxt, ack) {
 			q.sndNxt = ack // the ack retired PSNs the rewind meant to resend
@@ -521,15 +524,28 @@ func (q *qp) packetArrived(bth wire.TCPSeg, rest, chunk []byte, ce bool, hops in
 	}
 	m := q.assembler[rpc.RPCID]
 	if m == nil {
-		m = &inMsg{ebs: ebs, msgType: rpc.MsgType, numPkts: int(rpc.NumPkts)}
+		m = q.s.getInMsg()
+		m.ebs, m.msgType, m.numPkts = ebs, rpc.MsgType, int(rpc.NumPkts)
 		q.assembler[rpc.RPCID] = m
 	}
-	// Message reassembly is the receive side's one materialisation: chunks
-	// of a multi-packet message must land contiguously for the handler. It
-	// happens in both data-path modes and is counted as such.
-	m.payload = append(m.payload, chunk...)
-	if len(chunk) > 0 {
-		q.s.pool.CountCopy(len(chunk))
+	if frag != nil && m.numPkts == 1 && isRequest(m.msgType) {
+		// A single-frame request is delivered in place: the envelope
+		// holds a reference to the frame's slab until the reply is sent,
+		// so the handler reads the sender's bytes with no copy.
+		m.payload = chunk
+		m.slab = frag.Retain()
+	} else {
+		// Everything else is reassembled: chunks of a multi-packet
+		// message must land contiguously, and a response outlives its
+		// frames in the caller's hands. The buffer is sized once from the
+		// first chunk (senders cut MTU-sized chunks); this copy is counted.
+		if m.payload == nil && m.numPkts > 1 {
+			m.payload = make([]byte, 0, m.numPkts*len(chunk))
+		}
+		m.payload = append(m.payload, chunk...)
+		if len(chunk) > 0 {
+			q.s.pool.CountCopy(len(chunk))
+		}
 	}
 	// Carried one-touch CRCs arrive in PSN order (strict in-order receiver);
 	// the set is usable only if every packet of the message carried one.
@@ -539,10 +555,7 @@ func (q *qp) packetArrived(bth wire.TCPSeg, rest, chunk []byte, ce bool, hops in
 	m.received++
 	if m.received == m.numPkts {
 		delete(q.assembler, rpc.RPCID)
-		crcs := m.crcs
-		if len(crcs) != m.numPkts {
-			crcs = nil
-		}
-		q.s.deliver(q, rpc.RPCID, m.msgType, m.ebs, m.payload, crcs)
+		q.s.deliver(q, rpc.RPCID, m)
+		q.s.putInMsg(m)
 	}
 }

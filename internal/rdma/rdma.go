@@ -17,6 +17,7 @@ import (
 	"lunasolar/internal/cc"
 	"lunasolar/internal/sim"
 	"lunasolar/internal/simnet"
+	"lunasolar/internal/stats"
 	"lunasolar/internal/transport"
 	"lunasolar/internal/wire"
 )
@@ -79,14 +80,19 @@ type Stack struct {
 	params Params
 
 	qps       map[qpKey]*qp
+	byPeer    map[uint32]*qp // the client QP toward each peer's service QP
 	pending   map[uint64]func(*transport.Response)
 	handler   transport.Handler
 	ids       transport.IDAlloc
 	pool      *simnet.PacketPool
 	nextQPN   uint16
-	cacheLRU  []qpKey     // front = coldest
+	cache     ctxCache
 	ctxFetch  *sim.Server // serialized context-fetch engine (miss bandwidth)
 	lineBytes float64     // NIC port rate, bytes/s (DCQCN's rate ceiling)
+
+	freePktJobs []*pktJob
+	freeRPCJobs []*rpcJob
+	freeInMsgs  []*inMsg
 
 	CacheMisses uint64
 	Retransmits uint64
@@ -126,6 +132,7 @@ func New(eng *sim.Engine, host *simnet.Host, cores *sim.Server, pcie *sim.Channe
 		pcie:     pcie,
 		params:   params,
 		qps:      map[qpKey]*qp{},
+		byPeer:   map[uint32]*qp{},
 		pending:  map[uint64]func(*transport.Response){},
 		nextQPN:  40000,
 		ctxFetch: sim.NewServer(eng, "rnic-ctx", 1),
@@ -175,42 +182,35 @@ func (s *Stack) SetHandler(h transport.Handler) { s.handler = h }
 // QPs returns the number of live queue pairs.
 func (s *Stack) QPs() int { return len(s.qps) }
 
-// touchCache reports whether this QP's context is resident; a miss fetches
-// it from host memory (evicting the coldest entry). Fetches serialize
-// through the RNIC's single context engine, so beyond the cache size the
-// fetch bandwidth — not the wire — caps throughput: the §3.1 cliff.
-func (s *Stack) touchCache(k qpKey, then func()) {
-	for i, e := range s.cacheLRU {
-		if e == k {
-			// Move to back (hottest).
-			s.cacheLRU = append(append(s.cacheLRU[:i:i], s.cacheLRU[i+1:]...), k)
-			then()
-			return
-		}
+// touchCache runs j.then once j's QP context is resident; a miss first
+// fetches it from host memory (evicting the coldest entry). Fetches
+// serialize through the RNIC's single context engine, so beyond the cache
+// size the fetch bandwidth — not the wire — caps throughput: the §3.1
+// cliff. The context becomes resident only once the fetch completes:
+// packets arriving for this QP in the meantime miss too and queue behind
+// the engine — the thrash regime past the cache size.
+func (s *Stack) touchCache(j *pktJob, then func(any)) {
+	if s.cache.hit(j.q) {
+		then(j)
+		return
 	}
 	s.CacheMisses++
-	// The context becomes resident only once the fetch completes: packets
-	// arriving for this QP in the meantime miss too and queue behind the
-	// engine — the thrash regime past the cache size.
-	s.ctxFetch.Submit(s.params.CacheMissPenalty, func() {
-		s.cacheLRU = append(s.cacheLRU, k)
-		if len(s.cacheLRU) > s.params.QPCacheSize {
-			s.cacheLRU = s.cacheLRU[1:]
-		}
-		then()
-	})
+	j.then = then
+	s.ctxFetch.SubmitArg(s.params.CacheMissPenalty, ctxFetched, j)
 }
 
+// qpTo returns the client QP toward dst's service QP, creating it on
+// first use. Only qpTo creates QPs whose remote end is the service QP
+// (receive-side QPs face a client's QPN), so byPeer indexes all of them.
 func (s *Stack) qpTo(dst uint32) *qp {
-	for k, q := range s.qps {
-		if k.peer == dst && k.remoteQPN == ListenPort {
-			return q
-		}
+	if q := s.byPeer[dst]; q != nil {
+		return q
 	}
 	s.nextQPN++
 	k := qpKey{peer: dst, localQPN: s.nextQPN, remoteQPN: ListenPort}
 	q := newQP(s, k)
 	s.qps[k] = q
+	s.byPeer[dst] = q
 	return q
 }
 
@@ -218,16 +218,9 @@ func (s *Stack) qpTo(dst uint32) *qp {
 func (s *Stack) Call(dst uint32, req *transport.Message, done func(*transport.Response)) {
 	id := s.ids.Next()
 	s.pending[id] = done
-	q := s.qpTo(dst)
-	s.cores.Submit(s.params.PerRPCCPU, func() {
-		q.sendMessage(id, req.Op, req, nil)
-	})
-}
-
-func (s *Stack) reply(q *qp, id uint64, resp *transport.Response) {
-	s.cores.Submit(s.params.PerRPCCPU, func() {
-		q.sendMessage(id, wire.RPCWriteResp, nil, resp)
-	})
+	j := s.getRPCJob(s.qpTo(dst), id)
+	j.req = req
+	s.cores.SubmitArg(s.params.PerRPCCPU, rpcPost, j)
 }
 
 // ReceivePacket feeds one inbound frame into the stack. The stack takes
@@ -248,59 +241,39 @@ func (s *Stack) ReceivePacket(pkt *simnet.Packet) {
 		q = newQP(s, k)
 		s.qps[k] = q
 	}
-	rest := pkt.Payload[wire.TCPSegSize:]
-	frag := pkt.Frag // zero-copy frames carry the chunk as a fragment
-	ce := pkt.ECN == wire.ECNCE
-	hops := 64 - int(pkt.TTL) // Host.Send seeds TTL=64; switches decrement
-	// packetArrived copies what it keeps (assembler chunks), so the frame
-	// can be released as soon as it returns.
-	step := func() { q.packetArrived(bth, rest, frag, ce, hops); pkt.Release() }
-	wait := func() { s.touchCache(k, step) }
-	if s.pcie != nil && len(rest)+len(frag) > 0 {
-		s.pcie.Transfer(2*(len(rest)+len(frag)), wait)
+	j := s.getPktJob(q)
+	j.pkt, j.bth = pkt, bth
+	if n := len(pkt.Payload) - wire.TCPSegSize + len(pkt.Frag); s.pcie != nil && n > 0 {
+		s.pcie.TransferArg(2*n, rxCache, j)
 	} else {
-		wait()
+		rxCache(j)
 	}
 }
 
-// deliver hands a complete message up: requests to the handler, responses
-// to their pending callback. crcs is the message's carried one-touch CRC
-// list (nil when the sender attached none).
-func (s *Stack) deliver(q *qp, rpcID uint64, msgType uint8, ebs wire.EBS, payload []byte, crcs []uint32) {
-	s.cores.Submit(s.params.PerRPCCPU, func() {
-		switch msgType {
-		case wire.RPCWriteReq, wire.RPCReadReq:
-			if s.handler == nil {
-				return
-			}
-			req := &transport.Message{
-				Op: msgType, VDisk: ebs.VDisk, SegmentID: ebs.SegmentID,
-				LBA: ebs.LBA, Gen: ebs.Gen, Flags: ebs.Flags &^ wire.EBSFlagHasCRC,
-				ReadLen: int(ebs.BlockLen), Data: payload, BlockCRCs: crcs,
-			}
-			s.handler(q.key.peer, req, func(resp *transport.Response) {
-				s.reply(q, rpcID, resp)
-			})
-		default:
-			if done, ok := s.pending[rpcID]; ok {
-				delete(s.pending, rpcID)
-				var rerr error
-				if ebs.Flags&wire.EBSFlagReject != 0 {
-					rerr = transport.ErrNotOwner
-				}
-				done(&transport.Response{
-					Err:        rerr,
-					Data:       payload,
-					BlockCRCs:  crcs,
-					ServerWall: time.Duration(ebs.ServerNS),
-					SSDTime:    time.Duration(ebs.SSDNS),
-				})
-			}
-		}
-	})
+// deliver hands a complete message up after the per-message CPU charge
+// (see rpcDeliver). The message's payload, slab and carried one-touch CRC
+// list (used only when every packet carried one) move to the delivery.
+func (s *Stack) deliver(q *qp, rpcID uint64, m *inMsg) {
+	j := s.getRPCJob(q, rpcID)
+	j.msg.Op, j.msg.Data, j.msg.Payload, j.ebs = m.msgType, m.payload, m.slab, m.ebs
+	if len(m.crcs) == m.numPkts {
+		j.crcs = append(j.crcs[:0], m.crcs...)
+	}
+	s.cores.SubmitArg(s.params.PerRPCCPU, rpcDeliver, j)
 }
 
 var _ transport.Stack = (*Stack)(nil)
+
+// RegisterInto exports the stack's counters into reg under prefix: live
+// queue pairs, NIC context-cache misses, go-back-N rewinds and CNPs sent
+// and received.
+func (s *Stack) RegisterInto(reg *stats.Registry, prefix string) {
+	reg.SetGauge(prefix+"qps", float64(len(s.qps)))
+	reg.AddCounter(prefix+"cache_misses", s.CacheMisses)
+	reg.AddCounter(prefix+"retransmits", s.Retransmits)
+	reg.AddCounter(prefix+"cnps_sent", s.CNPsSent)
+	reg.AddCounter(prefix+"cnps_recv", s.CNPsRecv)
+}
 
 // CtxUtilization reports the context-fetch engine's busy fraction
 // (diagnostics).

@@ -276,7 +276,7 @@ func TestRewindRateLimitedPerRTT(t *testing.T) {
 	}
 	before := p.client.Retransmits
 	for i := 0; i < 5; i++ { // the NAK burst one gap produces
-		q.packetArrived(wire.TCPSeg{Ack: q.sndUna, Flags: wire.TCPFlagACK | wire.TCPFlagRST}, nil, nil, false, 0)
+		q.packetArrived(wire.TCPSeg{Ack: q.sndUna, Flags: wire.TCPFlagACK | wire.TCPFlagRST}, nil, nil, nil, false, 0)
 	}
 	if got := p.client.Retransmits - before; got != 1 {
 		t.Fatalf("NAK burst within one RTT caused %d rewinds, want exactly 1", got)
@@ -314,7 +314,7 @@ func TestDCQCNReactsToCNP(t *testing.T) {
 	var frame [wire.CNPSize]byte
 	cnp := wire.CNP{QPN: 1, PSN: uint32(q.sndUna), TSNanos: uint64(p.eng.Now())}
 	cnp.Encode(frame[:])
-	q.packetArrived(wire.TCPSeg{Flags: wire.TCPFlagACK | wire.TCPFlagECE}, frame[:], nil, false, 0)
+	q.packetArrived(wire.TCPSeg{Flags: wire.TCPFlagACK | wire.TCPFlagECE}, frame[:], nil, nil, false, 0)
 	if got := q.ctrl.Rate(); got >= line {
 		t.Fatalf("rate %v after CNP, want < %v", got, line)
 	}
